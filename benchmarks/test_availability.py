@@ -132,7 +132,10 @@ async def _scenario(enabled: bool, seed: int) -> dict:
     group = next(
         g for g in app.manager.group_states().values() if g.group_id >= 0
     )
-    await app.manager._shrink_group(group, max(1, len(group.proclets) - 1))
+    app.manager.want_replicas(
+        group.group_id, max(1, len(group.proclets) - 1), owner="autoscaler"
+    )
+    await app.manager.reconcile()
     outcomes = await asyncio.gather(*calls, return_exceptions=True)
     shutdown_failures = sum(1 for o in outcomes if isinstance(o, BaseException))
 

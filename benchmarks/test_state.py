@@ -93,7 +93,7 @@ async def _read_all(counter, component, app) -> dict[str, int]:
             break
         except Exception:
             assert time.monotonic() < deadline, "service never came back"
-            await app.manager.sweep()
+            await app.manager.control_tick()
             await asyncio.sleep(0.1)
     return {key: await counter.read(key) for key in KEYS}
 
@@ -127,7 +127,7 @@ async def _scenario(seed: int) -> dict:
         live = [e for e in app.envelopes.values() if not e.stopped]
         if len(live) >= 3:
             break
-        await app.manager.sweep()
+        await app.manager.control_tick()
         await asyncio.sleep(0.1)
 
     # Phase 2 — autoscale shrink while load continues.  The driver keeps
@@ -141,7 +141,10 @@ async def _scenario(seed: int) -> dict:
     group = next(
         g for g in app.manager.group_states().values() if g.group_id >= 0
     )
-    await app.manager._shrink_group(group, max(1, len(group.proclets) - 1))
+    app.manager.want_replicas(
+        group.group_id, max(1, len(group.proclets) - 1), owner="autoscaler"
+    )
+    await app.manager.reconcile()
     shrink_report = await load
     end_t = time.monotonic()
 

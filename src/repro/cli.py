@@ -108,7 +108,8 @@ async def _cmd_top(args: argparse.Namespace) -> int:
 
 
 async def _cmd_actions(args: argparse.Namespace) -> int:
-    """Show the remediation controller's action journal and guardrail state."""
+    """Show the action journal (every replica-set change and remediation
+    decision, with the intent owner behind it) and guardrail state."""
     import json as _json
 
     from repro.observability.dashboard import fetch_json
@@ -126,7 +127,7 @@ async def _cmd_actions(args: argparse.Namespace) -> int:
     print(
         f"remediation mode={wire.get('mode', '?')}  "
         f"fired={counts.get('fired', 0)} observed={counts.get('observed', 0)} "
-        f"suppressed={counts.get('suppressed', 0)} failed={counts.get('failed', 0)}"
+        f"suppressed={counts.get('suppressed', 0)}"
     )
     print(
         f"budget: {budget.get('available', '?')}/"
@@ -143,7 +144,8 @@ async def _cmd_actions(args: argparse.Namespace) -> int:
         outcome = entry.get("outcome")
         tail = f" -> {outcome}" if outcome else ""
         print(
-            f"  [{entry.get('verdict', '?'):<20s}] {entry.get('action', '?'):<16s} "
+            f"  [{entry.get('verdict', '?'):<20s}] {entry.get('owner', '?'):<11s} "
+            f"{entry.get('action', '?'):<16s} "
             f"{entry.get('target', '?'):<24s} {entry.get('reason', '')}{tail}"
         )
     return 0
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.set_defaults(handler=_cmd_top)
 
     actions = sub.add_parser(
-        "actions", help="show the remediation controller's action journal"
+        "actions", help="show the action journal: replica-set changes and remediation decisions"
     )
     actions.add_argument("--address", default=DEFAULT_DASHBOARD)
     actions.add_argument(

@@ -48,10 +48,7 @@ def render_dashboard(manager: Any, *, color: bool = True, clear: bool = False) -
     def paint(text: str, code: str) -> str:
         return f"{code}{text}{RESET}" if color else text
 
-    firing = []
-    board = getattr(manager, "signals", None)
-    if board is not None:
-        firing = board.firing()
+    firing = manager.signals.firing()
     banner = (
         paint(f"◆ {len(firing)} SIGNAL(S) FIRING", RED + BOLD)
         if firing
@@ -109,7 +106,7 @@ async function tick() {
       rows ? '<table><tr><th></th><th>signal</th><th>scope</th><th>detail</th></tr>' + rows + '</table>' : '';
     const rem = status.remediation;
     let remHtml = '';
-    if (rem && (rem.mode !== 'off' || rem.journal.length)) {
+    if (rem && (rem.mode !== 'off' || rem.journal.some(a => a.owner !== 'start'))) {
       remHtml = '<p>remediation mode=<b>' + rem.mode + '</b>' +
         ' fired=' + (rem.counts.fired || 0) +
         ' observed=' + (rem.counts.observed || 0) +
@@ -118,12 +115,13 @@ async function tick() {
         '/min</p>';
       let arows = '';
       for (const a of rem.journal.slice(-8).reverse()) {
-        arows += '<tr><td>' + a.verdict + '</td><td>' + a.action + '</td><td>' +
-                 a.target + '</td><td>' + a.reason + '</td></tr>';
+        arows += '<tr><td>' + a.verdict + '</td><td>' + a.owner + '</td><td>' +
+                 a.action + '</td><td>' + a.target + '</td><td>' + a.reason +
+                 '</td></tr>';
       }
       if (arows) {
-        remHtml += '<table><tr><th>verdict</th><th>action</th><th>target</th>' +
-                   '<th>reason</th></tr>' + arows + '</table>';
+        remHtml += '<table><tr><th>verdict</th><th>owner</th><th>action</th>' +
+                   '<th>target</th><th>reason</th></tr>' + arows + '</table>';
       }
     }
     document.getElementById('remediation').innerHTML = remHtml;

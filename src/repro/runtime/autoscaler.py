@@ -18,7 +18,7 @@ in, never read from a clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import AutoscaleConfig
 
@@ -36,24 +36,6 @@ class Autoscaler:
         self.config = config
         #: (time, desired) observations within the stabilization window.
         self._window: list[tuple[float, int]] = []
-        #: Remediation floor: (replicas, expires_at).  While active,
-        #: ``decide`` never proposes fewer replicas than this.
-        self._floor: tuple[int, float] = (0, 0.0)
-
-    def raise_floor(self, replicas: int, *, now: float, hold_s: float = 120.0) -> None:
-        """The remediation seam: hold ``desired >= replicas`` for a while.
-
-        The closed-loop controller scales a group up to absorb an incident;
-        without a floor the HPA's next tick would see per-replica
-        utilization drop and immediately shrink the capacity away.  The
-        floor is time-bounded, not permanent — once the hold expires the
-        HPA resumes full authority (clamped to ``max_replicas`` as always).
-        """
-        current, expires = self._floor
-        self._floor = (
-            max(current, min(replicas, self.config.max_replicas)),
-            max(expires, now + hold_s),
-        )
 
     def decide(
         self, *, now: float, current_replicas: int, utilization: float
@@ -70,12 +52,6 @@ class Autoscaler:
 
         if abs(ratio - 1.0) <= cfg.scale_up_tolerance:
             raw_desired = current  # inside the tolerance band: hold
-
-        floor, expires = self._floor
-        if floor and now < expires:
-            raw_desired = max(raw_desired, floor)
-        elif floor:
-            self._floor = (0, 0.0)
 
         raw_desired = min(cfg.max_replicas, max(cfg.min_replicas, raw_desired))
 

@@ -42,6 +42,9 @@ from repro.runtime.proclet import Proclet
 
 log = logging.getLogger("repro.runtime.deploy")
 
+#: The control loop's cadence: heartbeat ages are swept this often.
+HEALTH_TICK_S = 0.5
+
 T = TypeVar("T", bound=Component)
 
 
@@ -132,7 +135,7 @@ class MultiProcessApp(Application):
             heartbeat_interval_s=1.0,
             call_graph=self.call_graph,
         )
-        self._loops: list[asyncio.Task] = []
+        self._control: Optional[asyncio.Task] = None
         self._started = False
         self._dashboard = None
 
@@ -146,13 +149,8 @@ class MultiProcessApp(Application):
             self._control_dir = tempfile.mkdtemp(prefix="repro-ctl-")
         await self._driver.start()
         if eager:
-            for group in self.manager.plan.groups:
-                state = self.manager.group_states()[group.group_id]
-                await self.manager._ensure_replicas(state, minimum=group.replicas)
-        self._loops.append(asyncio.ensure_future(self._sweep_loop()))
-        self._loops.append(asyncio.ensure_future(self._telemetry_loop()))
-        if self.manager.autoscale_enabled:
-            self._loops.append(asyncio.ensure_future(self._autoscale_loop()))
+            await self.manager.start_all()
+        self._control = asyncio.ensure_future(self._control_loop())
         return self
 
     async def serve_dashboard(self, port: int = 0) -> str:
@@ -165,9 +163,9 @@ class MultiProcessApp(Application):
         return self._dashboard.url
 
     async def shutdown(self) -> None:
-        for task in self._loops:
-            task.cancel()
-        self._loops.clear()
+        if self._control is not None:
+            self._control.cancel()
+            self._control = None
         if self._dashboard is not None:
             await self._dashboard.stop()
             self._dashboard = None
@@ -260,7 +258,8 @@ class MultiProcessApp(Application):
 
     async def replace_placement(self, groups: list[tuple[str, ...]]) -> None:
         """Live re-placement of the running app (see Manager.apply_placement)."""
-        await self.manager.apply_placement(groups)
+        self.manager.apply_placement(groups)
+        await self.manager.reconcile()
 
     def kill_replica(self, proclet_id: str, *, silent: bool = False) -> None:
         """Abruptly kill one proclet (chaos-testing hook, §5.3).
@@ -290,47 +289,32 @@ class MultiProcessApp(Application):
         """The driver proclet (exposes its breakers/metrics to callers)."""
         return self._driver
 
-    # -- control loops ---------------------------------------------------------
+    # -- the control loop ------------------------------------------------------
 
-    async def _sweep_loop(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(0.5)
-                await self.manager.sweep()
-        except asyncio.CancelledError:
-            pass
-        except Exception:
-            log.exception("sweep loop failed")
+    async def _control_loop(self) -> None:
+        """The manager's one control loop.
 
-    async def _autoscale_loop(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(1.0)
-                await self.manager.autoscale_tick()
-        except asyncio.CancelledError:
-            pass
-        except Exception:
-            log.exception("autoscale loop failed")
-
-    async def _telemetry_loop(self) -> None:
-        """The telemetry tick (1s default): heartbeat merges -> series ->
-        signals -> the remediation controller, which must see this
-        second's fresh verdicts before it plans actions."""
-        interval = self.config.telemetry_tick_s
-        try:
-            while True:
-                await asyncio.sleep(interval)
-                self.manager.telemetry_tick()
-                try:
-                    await self.manager.remediation_tick()
-                except Exception:
-                    # A failed action round must not kill telemetry; the
-                    # journal records per-action failures already.
-                    log.exception("remediation tick failed")
-        except asyncio.CancelledError:
-            pass
-        except Exception:
-            log.exception("telemetry loop failed")
+        Every pass ends in one reconcile step.  Heartbeat ages are swept
+        every ``HEALTH_TICK_S``; every ``telemetry_tick_s`` the pass also
+        runs the telemetry tick, the HPA, and the remediation controller.
+        """
+        telemetry_s = self.config.telemetry_tick_s
+        step = min(HEALTH_TICK_S, telemetry_s)
+        health_every = max(1, round(HEALTH_TICK_S / step))
+        telemetry_every = max(1, round(telemetry_s / step))
+        passes = 0
+        while True:
+            await asyncio.sleep(step)
+            passes += 1
+            try:
+                await self.manager.control_tick(
+                    health=passes % health_every == 0,
+                    telemetry=passes % telemetry_every == 0,
+                )
+            except Exception:
+                # One failed pass must not stop the loop; the journal
+                # records per-change failures already.
+                log.exception("control pass failed")
 
 
 def _config_to_dict(config: AppConfig) -> dict[str, Any]:
@@ -380,7 +364,7 @@ async def deploy_multiprocess(
 
     With ``eager=False`` groups start lazily on first use
     (``StartComponent``); with ``autoscale=True`` the manager runs the
-    HPA loop over proclet load reports.
+    HPA over proclet load reports on every telemetry tick.
     """
     config = config or AppConfig()
     reg = registry or global_registry()

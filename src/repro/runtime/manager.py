@@ -9,10 +9,12 @@ The manager owns:
 
 * the placement plan (which components share a process, from config or
   from call-graph recommendations),
-* the replica lifecycle (``StartComponent`` requests, autoscaling
-  decisions, restart-on-death), executed through a deployer-provided
-  :class:`ReplicaLauncher` — the manager decides, the deployer does, which
-  is how one manager drives subprocesses, threads, or simulated pods,
+* the replica lifecycle as desired state: controllers (health, the HPA,
+  remediation, placement, StartComponent) only write intents, and one
+  reconcile step (:meth:`Manager.reconcile`) acts on them through a
+  deployer-provided :class:`ReplicaLauncher` — the manager decides, the
+  deployer does, which is how one manager drives subprocesses, threads,
+  or simulated pods — journaling every replica-set change,
 * routing: replica sets and sliced assignments per component, with
   generations bumped on every membership change,
 * telemetry aggregation: metrics, logs, health.
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol
 
@@ -36,10 +40,19 @@ from repro.observability.logs import LogAggregator, records_from_wire
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.autoscaler import Autoscaler
 from repro.runtime.health import HealthState, HealthTracker
-from repro.runtime.placement import PlacementPlan, plan_from_config
+from repro.runtime.placement import GroupPlacement, PlacementPlan, plan_from_config
 from repro.runtime.routing import Assignment, build_assignment
 
 log = logging.getLogger("repro.runtime.manager")
+
+#: Intent owners, as the action journal names them.
+HEALTH = "health"
+AUTOSCALER = "autoscaler"
+REMEDIATION = "remediation"
+PLACEMENT = "placement"
+START = "start"
+
+_LIVE = (HealthState.HEALTHY, HealthState.STARTING, HealthState.SUSPECT)
 
 
 class ReplicaLauncher(Protocol):
@@ -61,17 +74,29 @@ class ReplicaLauncher(Protocol):
     async def drain_replica(
         self, proclet_id: str, deadline_s: float
     ) -> Optional[dict[str, Any]]:
-        """Let the proclet finish in-flight RPCs before ``stop_replica``.
-
-        Returns the proclet's drain response — ``{"drained_s": ...,
-        "handover": [shard manifests]}`` — or None when the proclet is
-        already gone.  The manager tolerates launchers that predate this
-        method (``drain_replica`` absent or None) by hard-stopping, but
-        new deployers should implement it: graceful drain is how shrink,
-        re-placement, and remediation retire replicas without dropping
-        in-flight work.
-        """
+        """Let the proclet finish in-flight RPCs before ``stop_replica``;
+        returns its ``{"drained_s", "handover": [shard manifests]}``
+        response, or None when the proclet is already gone."""
         ...
+
+    async def push_routing(self, proclet_id: str, component: str, info: dict[str, Any]) -> None:
+        """Push a fresh routing assignment to one of a group's proclets."""
+        ...
+
+    async def push_state(self, proclet_id: str, shards: list[dict[str, Any]]) -> int:
+        """Hand a retiree's shard manifests to a survivor; returns replays."""
+        ...
+
+
+@dataclass
+class Intent:
+    """One controller's wish; only :meth:`Manager.reconcile` acts on it."""
+
+    owner: str  # HEALTH | AUTOSCALER | REMEDIATION | PLACEMENT | START
+    replicas: int = 0
+    reason: str = ""
+    #: Floors expire (monotonic clock); other intents hold until replaced.
+    until: float = math.inf
 
 
 @dataclass
@@ -88,14 +113,22 @@ class ProcletInfo:
 class GroupState:
     group_id: int
     components: tuple[str, ...]
-    target_replicas: int
+    #: Desired state: the count StartComponent, the HPA, or placement asked
+    #: for (0 until someone asks: lazy groups start on first use), and an
+    #: expiring remediation floor.  ``target_replicas`` is their clamped
+    #: combination as of the last reconcile pass.
+    want: Intent = field(default_factory=lambda: Intent(START))
+    floor: Optional[Intent] = None
+    target_replicas: int = 0
     next_replica_index: int = 0
     #: Distinct index for every launch, handed to the new proclet as its
     #: replica identity (routed components partition state by it).
     launch_seq: int = 0
-    launching: int = 0
+    launching: int = 0  # launches not yet registered
     proclets: dict[str, ProcletInfo] = field(default_factory=dict)
     registered_event: asyncio.Event = field(default_factory=asyncio.Event)
+    #: Live addresses the last routing publication carried.
+    published: tuple[str, ...] = ()
 
 
 class Manager:
@@ -141,64 +174,59 @@ class Manager:
         # tail-sampling store (Tracer-compatible query surface).
         app = resolved.app
         self.tracer = TraceStore(
-            max_traces=getattr(app, "trace_max_traces", 2000),
-            sample_rate=getattr(app, "trace_sample_rate", 1.0),
+            max_traces=app.trace_max_traces, sample_rate=app.trace_sample_rate
         )
         # Live pipeline: per-second series from snapshot deltas, and the
         # anomaly/SLO signal board evaluated on every telemetry tick.
-        slo_latency_ms = getattr(app, "slo_latency_ms", 250.0)
         self.timeseries = TimeSeriesStore()
         self.pipeline = TelemetryPipeline(
-            self.timeseries, slow_threshold_s=slo_latency_ms / 1000.0
+            self.timeseries, slow_threshold_s=app.slo_latency_ms / 1000.0
         )
         self.signals = SignalBoard(
             self.timeseries,
             slos=default_slos(
-                error_budget=getattr(app, "slo_error_budget", 0.01),
-                latency_budget=getattr(app, "slo_latency_budget", 0.05),
+                error_budget=app.slo_error_budget,
+                latency_budget=app.slo_latency_budget,
             ),
         )
-        # The closed-loop remediation controller (ROADMAP item 2): consumes
-        # the signal board + health/breaker evidence on the telemetry tick,
-        # acts through this manager, bounded by guardrails.
+        #: Every replica-set change and every remediation decision, newest
+        #: last (``repro actions``).
+        self.journal: deque[dict[str, Any]] = deque(maxlen=app.remediation_journal_size)
+        # The closed-loop remediation controller: consumes the signal
+        # board + health/breaker evidence on the telemetry tick and writes
+        # intents, bounded by guardrails.
         from repro.runtime.remediation import RemediationController
 
         self.remediation = RemediationController(self, app)
 
-        self._groups: dict[int, GroupState] = {}
-        self._component_group: dict[str, int] = {}
-        for gp in self.plan.groups:
-            state = GroupState(gp.group_id, gp.components, gp.replicas)
-            self._groups[gp.group_id] = state
-            for name in gp.components:
-                self._component_group[name] = gp.group_id
+        self._install_plan(self.plan)
         self._assignments: dict[str, Assignment] = {}
         self._generations: dict[str, int] = {}
-        self._autoscalers: dict[int, Autoscaler] = {
-            gid: Autoscaler(resolved.app.autoscale) for gid in self._groups
-        }
-        self._lock = asyncio.Lock()
+        #: Retirement intents: proclet id -> intent.
+        self._retiring: dict[str, Intent] = {}
+        #: A pending re-grouping intent.
+        self._grouping: Optional[tuple[PlacementPlan, Intent]] = None
+        #: Fire-and-forget routing pushes in flight (the loop holds tasks weakly).
+        self._pushes: set[asyncio.Task] = set()
 
     # -- Table 1 API (called by envelopes on behalf of proclets) --------------
 
     async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None:
-        """RegisterReplica: a proclet is alive and serving at ``address``."""
-        async with self._lock:
-            group = self._group(group_id)
-            info = ProcletInfo(
-                proclet_id=proclet_id,
-                group_id=group_id,
-                address=address,
-                replica_index=group.next_replica_index,
-                registered_at=self.clock(),
-            )
-            group.next_replica_index += 1
-            group.proclets[proclet_id] = info
-            if group.launching > 0:
-                group.launching -= 1
-            self.health.heartbeat(proclet_id, self.clock())
-            self._bump_group_routing(group)
-            group.registered_event.set()
+        """RegisterReplica: a proclet is alive and serving at ``address``
+        (the reconcile step that launched it publishes the membership)."""
+        group = self._group(group_id)
+        group.proclets[proclet_id] = ProcletInfo(
+            proclet_id=proclet_id,
+            group_id=group_id,
+            address=address,
+            replica_index=group.next_replica_index,
+            registered_at=self.clock(),
+        )
+        group.next_replica_index += 1
+        if group.launching > 0:
+            group.launching -= 1
+        self.health.heartbeat(proclet_id, self.clock())
+        group.registered_event.set()
         log.debug("registered %s at %s (group %d)", proclet_id, address, group_id)
 
     async def components_to_host(self, proclet_id: str) -> list[str]:
@@ -208,15 +236,23 @@ class Manager:
             raise ComponentNotFound(f"unknown proclet {proclet_id!r}")
         return sorted(self._groups[info.group_id].components)
 
+    async def start_all(self) -> None:
+        """Eager start: each group asks for its configured replica count."""
+        for gp in self.plan.groups:
+            self.want_replicas(gp.group_id, gp.replicas, owner=START, reason="eager start")
+        await self.reconcile()
+
     async def start_component(self, component: str) -> None:
         """StartComponent: ensure at least one replica serves ``component``."""
         group = self._group_for_component(component)
-        await self._ensure_replicas(group, minimum=1)
+        if group.want.replicas < 1:
+            group.want = Intent(START, 1, f"StartComponent {component}")
+        await self.reconcile(group.group_id)
 
     async def routing_info(self, component: str) -> dict[str, Any]:
         """Current replica set and (for routed components) the assignment."""
         group = self._group_for_component(component)
-        addresses = self._healthy_addresses(group)
+        addresses = [p.address for p in self.live_replicas(group)]
         info: dict[str, Any] = {"component": component, "replicas": addresses}
         if self._is_routed(component) and addresses:
             assignment = self._assignments.get(component)
@@ -253,217 +289,98 @@ class Manager:
         """Ingest already-materialized Span objects (same-process envelopes)."""
         self.tracer.ingest(spans)
 
-    # -- control loops ----------------------------------------------------------
+    # -- intents (the controllers' only way to change replica sets) -------------
 
-    async def sweep(self) -> None:
-        """Health sweep: detect dead proclets, repair routing, restart."""
-        now = self.clock()
-        newly_dead = self.health.sweep(now)
-        for proclet_id in newly_dead:
-            info = self._find_proclet(proclet_id)
-            if info is None:
-                continue
-            log.warning("proclet %s (group %d) died", proclet_id, info.group_id)
-            group = self._groups[info.group_id]
-            group.proclets.pop(proclet_id, None)
-            self.health.remove(proclet_id)
-            self._bump_group_routing(group)
-            await self._ensure_replicas(group, minimum=group.target_replicas)
+    def want_replicas(self, group_id: int, replicas: int, *, owner: str, reason: str = "") -> None:
+        """Ask for ``replicas`` replicas of a group (the HPA's target)."""
+        self._group(group_id).want = Intent(owner, replicas, reason)
 
-    async def apply_placement(self, groups: list[tuple[str, ...]]) -> None:
-        """Re-place components across the *running* deployment (§3.1, §5.1).
+    def hold_floor(self, group_id: int, replicas: int, *, until: float, reason: str = "") -> None:
+        """Keep at least ``replicas`` until ``until`` (monotonic), whatever
+        the HPA wants meanwhile: a remediation scale-up must stick until
+        the incident resolves."""
+        self._group(group_id).floor = Intent(REMEDIATION, replicas, reason, until)
 
-            "The runtime may also move component replicas around, e.g., to
-            co-locate two chatty components in the same OS process."
+    def retire(self, proclet_id: str, *, owner: str, reason: str = "") -> None:
+        """Take one replica out of routing, drain it, and stop it.  The
+        group refills to its desired count, so a retirement below target
+        is a restart and one above it an ejection."""
+        if self._find_proclet(proclet_id) is not None:
+            self._retiring[proclet_id] = Intent(owner, reason=reason)
+
+    def apply_placement(self, groups: list[tuple[str, ...]], *, owner: str = PLACEMENT) -> None:
+        """Ask to re-place components across the *running* deployment
+        (§3.1, §5.1): "The runtime may also move component replicas
+        around, e.g., to co-locate two chatty components in the same OS
+        process."
 
         ``groups`` is a new, complete co-location partition (typically from
-        :func:`repro.runtime.placement.recommend_groups` over the merged
-        call graph).  No process is necessarily restarted: each existing
-        proclet is re-assigned to the new group that overlaps its current
-        components the most, gets its new hosted set pushed down, and
-        callers re-resolve on their next call (a stale address answers
-        "unavailable" and the stub retries through fresh routing info).
-        Proclets whose components all moved elsewhere are stopped; new
-        groups without any adopted proclet start lazily on first use.
-
-        Components with in-memory state lose it when they move — the same
-        contract as a replica restart, which applications must already
-        tolerate (§8.3).
+        :func:`repro.runtime.placement.recommend_groups`); an invalid one
+        raises here and changes nothing.  The next reconcile step carries
+        it out (see :meth:`_apply_grouping`).  Components with in-memory
+        state lose it when they move — the same contract as a replica
+        restart, which applications must already tolerate (§8.3).
         """
-        from repro.runtime.placement import GroupPlacement
-
+        replicas = self.resolved.replicas
         plan = PlacementPlan(
             groups=tuple(
-                GroupPlacement(
-                    group_id=i,
-                    components=tuple(members),
-                    replicas=max(self.resolved.replicas[n] for n in members),
-                )
+                GroupPlacement(i, tuple(members), max(replicas[n] for n in members))
                 for i, members in enumerate(groups)
             )
         )
         plan.validate(self.build.names())
+        self._grouping = (plan, Intent(owner, reason=f"{len(groups)} groups"))
 
-        async with self._lock:
-            old_components_of = {
-                info.proclet_id: set(self._groups[info.group_id].components)
-                for info in self.proclets()
-            }
-            old_infos = self.proclets()
-
-            self.plan = plan
-            self._groups = {}
-            self._component_group = {}
-            for gp in plan.groups:
-                state = GroupState(gp.group_id, gp.components, gp.replicas)
-                self._groups[gp.group_id] = state
-                for name in gp.components:
-                    self._component_group[name] = gp.group_id
-            self._autoscalers = {
-                gid: Autoscaler(self.resolved.app.autoscale) for gid in self._groups
-            }
-
-            to_stop: list[str] = []
-            pushes: list[tuple[str, list[str]]] = []
-            for info in old_infos:
-                old_set = old_components_of[info.proclet_id]
-                best: Optional[GroupState] = None
-                best_score = (0, 0.0)
-                for group in self._groups.values():
-                    overlap = len(old_set & set(group.components))
-                    if overlap == 0:
-                        continue
-                    # Prefer max overlap; break ties toward emptier groups
-                    # so merged groups don't stack every old proclet.
-                    score = (overlap, -len(group.proclets))
-                    if best is None or score > best_score:
-                        best, best_score = group, score
-                if best is None:
-                    to_stop.append(info.proclet_id)
-                    continue
-                info.group_id = best.group_id
-                best.proclets[info.proclet_id] = info
-                pushes.append((info.proclet_id, sorted(best.components)))
-
-            for group in self._groups.values():
-                self._bump_group_routing(group)
-
-        # Effectful steps outside the lock: pushes and stops go through the
-        # deployer, which may call back into the manager.
-        for proclet_id, components in pushes:
-            await self.launcher.update_hosting(proclet_id, components)
-        for proclet_id in to_stop:
-            # Routing was rebuilt without these proclets above; retire
-            # gracefully so their in-flight requests complete.
-            self.health.remove(proclet_id)
-            await self._retire_replica(proclet_id)
-        log.info(
-            "re-placed into %d groups (%d proclets reassigned, %d stopped)",
-            len(self._groups),
-            len(pushes),
-            len(to_stop),
-        )
-
-    async def autoscale_tick(self) -> None:
-        """One autoscaler pass over every group (mean load per replica)."""
+    def autoscale(self) -> None:
+        """The HPA: write each group's target from its mean load per replica."""
         if not self.autoscale_enabled:
             return
         now = self.clock()
         for group in self._groups.values():
-            live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
+            live = self.live_replicas(group)
             if not live:
                 continue
             utilization = sum(p.load for p in live) / len(live)
             decision = self._autoscalers[group.group_id].decide(
                 now=now, current_replicas=len(live), utilization=utilization
             )
-            if decision.desired > len(live):
-                group.target_replicas = decision.desired
-                await self._ensure_replicas(group, minimum=decision.desired)
-            elif decision.desired < len(live):
-                group.target_replicas = decision.desired
-                await self._shrink_group(group, decision.desired)
+            if decision.desired != len(live):
+                group.want = Intent(AUTOSCALER, decision.desired, decision.reason)
 
-    async def remediation_tick(self) -> list[dict[str, Any]]:
-        """One controller pass: evidence -> guarded actions (ROADMAP item 2).
+    # -- the control loop ---------------------------------------------------------
 
-        The deployer calls this right after :meth:`telemetry_tick` so the
-        controller sees this second's fresh series and signal verdicts.
-        A no-op unless ``AppConfig.remediation`` is ``on`` or ``observe``.
+    async def control_tick(self, *, health: bool = True, telemetry: bool = False) -> None:
+        """One control pass: controllers write intents, then one reconcile.
+
+        ``health`` sweeps heartbeat ages (replicas turn SUSPECT, then DEAD);
+        ``telemetry`` runs :meth:`telemetry_tick`, then the HPA and the
+        remediation controller, which must see this tick's fresh verdicts.
         """
-        return await self.remediation.tick()
+        if health:
+            self.health.sweep(self.clock())
+        if telemetry:
+            self.telemetry_tick()
+            self.autoscale()
+            self.remediation.tick()
+        await self.reconcile()
 
-    # -- remediation executors (the controller's effector surface) ---------------
+    async def reconcile(self, group_id: Optional[int] = None) -> None:
+        """The one actuator: drive actual replica sets to the desired state.
 
-    async def remediate_restart(self, proclet_id: str) -> None:
-        """Replace one replica: out of routing, drain, stop, re-launch.
-
-        The routing bump happens *first* so callers steer elsewhere while
-        the victim drains — the same order as :meth:`_shrink_group`.
+        Applies a pending grouping, then per group (or only ``group_id``)
+        drops replicas health declared dead, retires retirees and any
+        surplus, and launches up to the desired count: ``want`` raised to
+        an unexpired floor, clamped to ``autoscale.max_replicas``.  Only
+        this step calls :meth:`_ensure_replicas`, :meth:`_retire_replica`,
+        :meth:`_publish_routing`, and :meth:`_apply_grouping`; each change
+        it makes is one journal entry.
         """
-        info = self._find_proclet(proclet_id)
-        if info is None:
-            return
-        group = self._groups[info.group_id]
-        group.proclets.pop(proclet_id, None)
-        self.health.remove(proclet_id)
-        self._bump_group_routing(group)
-        await self._retire_replica(proclet_id, components=group.components)
-        await self._ensure_replicas(group, minimum=group.target_replicas)
-
-    async def remediate_eject(self, proclet_id: str) -> None:
-        """Remove one replica from routing and retire it, no replacement.
-
-        Chosen over restart when the group already holds its target
-        strength without the victim (the guardrails additionally refuse to
-        eject below the autoscale floor).
-        """
-        info = self._find_proclet(proclet_id)
-        if info is None:
-            return
-        group = self._groups[info.group_id]
-        group.proclets.pop(proclet_id, None)
-        self.health.remove(proclet_id)
-        self._bump_group_routing(group)
-        await self._retire_replica(proclet_id, components=group.components)
-
-    async def remediate_scale_up(self, group_id: int, *, ceiling: int) -> None:
-        """Add one replica to a group, clamped to ``ceiling``."""
-        group = self._group(group_id)
-        live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
-        desired = min(ceiling, max(group.target_replicas, len(live)) + 1)
-        if desired <= len(live):
-            return
-        group.target_replicas = desired
-        # Remediation scale-ups must stick until the incident resolves:
-        # raise the autoscaler's floor too, or its next tick would undo
-        # the capacity the controller just added.
-        scaler = self._autoscalers.get(group_id)
-        if scaler is not None:
-            scaler.raise_floor(desired, now=self.clock())
-        await self._ensure_replicas(group, minimum=desired)
-
-    async def remediate_isolate(self, component: str) -> None:
-        """Give ``component`` its own process (live re-placement, §5.1).
-
-        The escalation endpoint for a persistent offender that restarts
-        and extra replicas did not fix: evict it from its co-location
-        group so it stops taxing its neighbours.  No-op when the
-        component already runs alone.
-        """
-        group = self._group_for_component(component)
-        if len(group.components) < 2:
-            return
-        new_groups: list[tuple[str, ...]] = []
-        for g in self._groups.values():
-            if g.group_id == group.group_id:
-                rest = tuple(c for c in g.components if c != component)
-                new_groups.append((component,))
-                if rest:
-                    new_groups.append(rest)
-            else:
-                new_groups.append(g.components)
-        await self.apply_placement(new_groups)
+        if self._grouping is not None:
+            await self._apply_grouping()
+            group_id = None
+        for group in list(self._groups.values()):
+            if group_id is None or group.group_id == group_id:
+                await self._reconcile_group(group)
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -489,7 +406,7 @@ class Manager:
         now = time.time() if now is None else now
         self.pipeline.tick(self.metrics, now)
         for group in self._groups.values():
-            live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
+            live = self.live_replicas(group)
             scope = f"group{group.group_id}"
             self.timeseries.record("replicas", scope, now, float(len(live)))
             if live:
@@ -497,14 +414,12 @@ class Manager:
                     "utilization", scope, now, sum(p.load for p in live) / len(live)
                 )
         self.signals.evaluate(now)
-        maintain = getattr(self.tracer, "maintain", None)
-        if maintain is not None:
-            maintain()
+        self.tracer.maintain()
 
     # -- queries ------------------------------------------------------------------
 
     def replica_addresses(self, component: str) -> list[str]:
-        return self._healthy_addresses(self._group_for_component(component))
+        return [p.address for p in self.live_replicas(self._group_for_component(component))]
 
     def proclets(self) -> list[ProcletInfo]:
         return [p for g in self._groups.values() for p in g.proclets.values()]
@@ -515,7 +430,26 @@ class Manager:
     def total_replicas(self) -> int:
         return sum(len(g.proclets) for g in self._groups.values())
 
+    def live_replicas(self, group: GroupState) -> list[ProcletInfo]:
+        """A group's serving replicas (not DEAD), oldest first."""
+        return sorted(
+            (p for p in group.proclets.values() if self.health.state(p.proclet_id) in _LIVE),
+            key=lambda p: p.replica_index,
+        )
+
     # -- internals -------------------------------------------------------------------
+
+    def _install_plan(self, plan: PlacementPlan) -> None:
+        self.plan = plan
+        self._groups: dict[int, GroupState] = {}
+        self._component_group: dict[str, int] = {}
+        for gp in plan.groups:
+            self._groups[gp.group_id] = GroupState(gp.group_id, gp.components)
+            for name in gp.components:
+                self._component_group[name] = gp.group_id
+        self._autoscalers: dict[int, Autoscaler] = {
+            gid: Autoscaler(self.resolved.app.autoscale) for gid in self._groups
+        }
 
     def _group(self, group_id: int) -> GroupState:
         try:
@@ -536,17 +470,6 @@ class Manager:
                 return info
         return None
 
-    def _is_live(self, proclet_id: str) -> bool:
-        state = self.health.state(proclet_id)
-        return state in (HealthState.HEALTHY, HealthState.STARTING, HealthState.SUSPECT)
-
-    def _healthy_addresses(self, group: GroupState) -> list[str]:
-        return [
-            p.address
-            for p in sorted(group.proclets.values(), key=lambda p: p.replica_index)
-            if self._is_live(p.proclet_id)
-        ]
-
     def _is_routed(self, component: str) -> bool:
         reg = self.build.by_name(component)
         return any(m.routing_key is not None for m in reg.spec.methods)
@@ -558,87 +481,182 @@ class Manager:
         self._assignments[component] = assignment
         return assignment
 
-    def _bump_group_routing(self, group: GroupState) -> None:
-        addresses = self._healthy_addresses(group)
-        push = getattr(self.launcher, "push_routing", None)
-        for component in group.components:
-            if self._is_routed(component) and addresses:
-                assignment = self._rebuild_assignment(component, addresses)
-                if push is None:
-                    continue
-                # Proactively push the fresh assignment to the group's own
-                # proclets: their per-key ownership checks (repro.state)
-                # must see ring changes promptly, not on the next cache
-                # miss.  Fire-and-forget — this runs under the manager
-                # lock, and the pushes only touch envelopes/proclets.
-                info = {
-                    "component": component,
-                    "replicas": addresses,
-                    "assignment": assignment.to_wire(),
-                }
-                for p in group.proclets.values():
-                    if self._is_live(p.proclet_id):
-                        asyncio.ensure_future(
-                            self._push_routing(push, p.proclet_id, component, info)
-                        )
+    def _journal(
+        self,
+        intent: Intent,
+        action: str,
+        target: str,
+        group: Optional[GroupState],
+        started: float,
+        outcome: str = "ok",
+    ) -> None:
+        """One entry per replica-set change, in the remediation journal's shape."""
+        self.journal.append(
+            {
+                "ts": time.time(),
+                "owner": intent.owner,
+                "action": action,
+                "target": target,
+                "group": group.group_id if group else -1,
+                "scope": group.components[0] if group and group.components else "_total",
+                "reason": intent.reason,
+                "verdict": "applied",
+                "outcome": outcome,
+                "duration_ms": round((self.clock() - started) * 1000.0, 3),
+            }
+        )
 
-    @staticmethod
+    def _desired(self, group: GroupState) -> tuple[int, Intent]:
+        """The group's clamped desired count, and the intent that sets it."""
+        floor = group.floor
+        if floor is not None and floor.until <= self.clock():
+            group.floor = floor = None
+        want = group.want
+        binding = floor if floor is not None and floor.replicas > want.replicas else want
+        group.target_replicas = min(binding.replicas, self.resolved.app.autoscale.max_replicas)
+        return group.target_replicas, binding
+
+    async def _reconcile_group(self, group: GroupState) -> None:
+        now = self.clock()
+        desired, _ = self._desired(group)
+
+        # Departures: dead replicas leave routing; retirees and any surplus
+        # leave routing *first*, so new picks steer to the survivors while
+        # they drain their in-flight requests.
+        dead: list[ProcletInfo] = []
+        leaving: list[tuple[ProcletInfo, Intent]] = []
+        staying: list[ProcletInfo] = []
+        for info in sorted(group.proclets.values(), key=lambda p: p.replica_index):
+            retiring = self._retiring.pop(info.proclet_id, None)
+            if self.health.state(info.proclet_id) is HealthState.DEAD:
+                dead.append(info)
+            elif retiring is not None:
+                leaving.append((info, retiring))
+            else:
+                staying.append(info)
+        if desired and len(staying) > desired:
+            leaving.extend((info, group.want) for info in staying[desired:])
+        for info in dead + [info for info, _ in leaving]:
+            group.proclets.pop(info.proclet_id, None)
+            self.health.remove(info.proclet_id)
+        self._publish_routing(group)
+        for info in dead:
+            log.warning("proclet %s (group %d) died", info.proclet_id, group.group_id)
+            dropped = Intent(HEALTH, reason="declared dead")
+            self._journal(dropped, "drop", info.proclet_id, group, now)
+        for info, intent in leaving:
+            await self._retire_replica(info.proclet_id, intent, group)
+        if self._groups.get(group.group_id) is not group:
+            return  # re-grouped while draining: the next pass sees the new groups
+
+        # Arrivals: refill to the desired count (intents may have changed
+        # while draining).  A refill right after a departure is the
+        # departure owner's doing: a health repair, a remediation restart.
+        desired, binding = self._desired(group)
+        if dead:
+            binding = Intent(HEALTH, reason="replace dead replica")
+        elif leaving and leaving[0][1] is not group.want:
+            binding = leaving[0][1]
+        await self._ensure_replicas(group, desired, binding)
+        if self._groups.get(group.group_id) is group:
+            self._publish_routing(group)
+
+    def _publish_routing(self, group: GroupState) -> None:
+        """Rebuild and push routed assignments when live membership changed."""
+        live = self.live_replicas(group)
+        addresses = [p.address for p in live]
+        if tuple(addresses) == group.published:
+            return
+        group.published = tuple(addresses)
+        if not addresses:
+            return
+        for component in group.components:
+            if not self._is_routed(component):
+                continue
+            assignment = self._rebuild_assignment(component, addresses)
+            # Proactively push the fresh assignment to the group's own
+            # proclets: their per-key ownership checks (repro.state) must
+            # see ring changes promptly, not on the next cache miss.
+            # Fire-and-forget — the pushes only touch envelopes/proclets.
+            info = {
+                "component": component,
+                "replicas": addresses,
+                "assignment": assignment.to_wire(),
+            }
+            for p in live:
+                task = asyncio.ensure_future(self._push_routing(p.proclet_id, component, info))
+                self._pushes.add(task)
+                task.add_done_callback(self._pushes.discard)
+
     async def _push_routing(
-        push: Any, proclet_id: str, component: str, info: dict[str, Any]
+        self, proclet_id: str, component: str, info: dict[str, Any]
     ) -> None:
         try:
-            await push(proclet_id, component, info)
+            await self.launcher.push_routing(proclet_id, component, info)
         except Exception:
             log.debug(
                 "routing push of %s to %s failed", component, proclet_id, exc_info=True
             )
 
-    async def _ensure_replicas(self, group: GroupState, minimum: int) -> None:
-        live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
-        deficit = minimum - len(live) - group.launching
-        launches = []
-        for _ in range(max(0, deficit)):
-            group.launching += 1
-            index = group.launch_seq
-            group.launch_seq += 1
-            launches.append(self.launcher.start_replica(group.group_id, index))
-        if launches:
-            group.registered_event.clear()
-            await asyncio.gather(*launches)
-            # Wait for at least one registration so callers of
-            # StartComponent see a routable replica.
-            if not self._healthy_addresses(group):
-                try:
-                    await asyncio.wait_for(group.registered_event.wait(), timeout=30.0)
-                except asyncio.TimeoutError:
-                    raise PlacementError(
-                        f"no replica of group {group.group_id} registered in time"
-                    ) from None
+    async def _ensure_replicas(self, group: GroupState, minimum: int, intent: Intent) -> None:
+        """Launch up to ``minimum`` replicas and wait for them to register."""
+        deficit = minimum - len(self.live_replicas(group)) - group.launching
+        if deficit <= 0:
+            return
+        first = group.launch_seq
+        group.launch_seq += deficit
+        group.launching += deficit
+        started = self.clock()
+        outcome = "ok"
+
+        async def registered() -> None:
+            while group.launching > 0:
+                group.registered_event.clear()
+                await group.registered_event.wait()
+
+        try:
+            await asyncio.gather(
+                *(self.launcher.start_replica(group.group_id, first + i) for i in range(deficit))
+            )
+            if group.launching > 0:
+                await asyncio.wait_for(registered(), 30.0)
+        except Exception as exc:
+            # Presume unregistered launches lost; a later pass retires any
+            # surplus if they register after all.
+            group.launching = 0
+            outcome = f"failed: {type(exc).__name__}: {exc}"
+            if isinstance(exc, asyncio.TimeoutError):
+                raise PlacementError(
+                    f"no replica of group {group.group_id} registered in time"
+                ) from None
+            raise
+        finally:
+            for i in range(deficit):
+                target = f"group{group.group_id}#{first + i}"
+                self._journal(intent, "launch", target, group, started, outcome)
 
     async def _retire_replica(
-        self, proclet_id: str, *, components: tuple[str, ...] = ()
+        self, proclet_id: str, intent: Intent, group: Optional[GroupState]
     ) -> None:
-        """Planned removal: drain in-flight work, then stop.
+        """Planned removal: drain in-flight work, stop, and journal it.
 
         Routing must already exclude the replica (callers steer new
-        traffic elsewhere while it finishes what it has).
-        ``drain_replica`` is part of the :class:`ReplicaLauncher` protocol;
-        the manager still tolerates legacy launchers without it (attribute
-        absent or None) and hard-stops, as it does when drain is disabled
-        (``drain_deadline_s = 0``).  ``components`` labels the drain-event
-        counters the telemetry pipeline turns into per-component series.
+        traffic elsewhere while it finishes what it has).  With drain
+        disabled (``drain_deadline_s = 0``) the replica is hard-stopped.
+        The group's components label the drain-event counters the
+        telemetry pipeline turns into per-component series.
         """
+        started = self.clock()
+        components = group.components if group else ()
         for comp in components:
             self._own_metrics.counter("replica_drains").inc(component=comp)
         if components:
             self._merged_metrics = None
         deadline_s = self.resolved.app.drain_deadline_s
-        drain = getattr(self.launcher, "drain_replica", None)
-        if drain is not None and deadline_s > 0:
-            started = self.clock()
+        if deadline_s > 0:
             response: Optional[dict[str, Any]] = None
             try:
-                response = await drain(proclet_id, deadline_s)
+                response = await self.launcher.drain_replica(proclet_id, deadline_s)
             except Exception:
                 log.exception("drain of %s failed; hard-stopping", proclet_id)
             # Recorded manager-side: the proclet's own histogram dies with
@@ -655,7 +673,13 @@ class Manager:
                 await self._distribute_handover(
                     proclet_id, response.get("handover") or []
                 )
-        await self.launcher.stop_replica(proclet_id)
+        outcome = "ok"
+        try:
+            await self.launcher.stop_replica(proclet_id)
+        except Exception as exc:
+            log.exception("stopping %s failed", proclet_id)
+            outcome = f"failed: {exc!r}"
+        self._journal(intent, "retire", proclet_id, group, started, outcome)
 
     async def _distribute_handover(
         self, retiring_id: str, manifests: list[dict[str, Any]]
@@ -671,9 +695,6 @@ class Manager:
         """
         if not manifests:
             return
-        push = getattr(self.launcher, "push_state", None)
-        if push is None:
-            return
         by_group: dict[int, list[dict[str, Any]]] = {}
         for manifest in manifests:
             gid = self._component_group.get(manifest.get("component"))
@@ -685,11 +706,13 @@ class Manager:
             group = self._groups.get(gid)
             if group is None:
                 continue
-            for info in list(group.proclets.values()):
-                if info.proclet_id == retiring_id or not self._is_live(info.proclet_id):
+            for info in self.live_replicas(group):
+                if info.proclet_id == retiring_id:
                     continue
                 try:
-                    replayed += int(await push(info.proclet_id, shards) or 0)
+                    replayed += int(
+                        await self.launcher.push_state(info.proclet_id, shards) or 0
+                    )
                 except Exception:
                     log.exception(
                         "state handover push to %s failed", info.proclet_id
@@ -699,18 +722,48 @@ class Manager:
         self._own_metrics.histogram("state_handover_s").observe(self.clock() - started)
         self._merged_metrics = None
 
-    async def _shrink_group(self, group: GroupState, desired: int) -> None:
-        live = sorted(
-            (p for p in group.proclets.values() if self._is_live(p.proclet_id)),
-            key=lambda p: p.replica_index,
-        )
-        to_stop = live[desired:]
-        # Drop the retirees from routing *first*: new picks steer to the
-        # survivors while the retirees drain their in-flight requests.
-        for info in to_stop:
-            group.proclets.pop(info.proclet_id, None)
-            self.health.remove(info.proclet_id)
-        if to_stop:
-            self._bump_group_routing(group)
-        for info in to_stop:
-            await self._retire_replica(info.proclet_id, components=group.components)
+    async def _apply_grouping(self) -> None:
+        """Re-group the running proclets per the pending grouping intent."""
+        plan, intent = self._grouping
+        self._grouping = None
+        started = self.clock()
+        old_infos = self.proclets()
+        old_components_of = {
+            info.proclet_id: set(self._groups[info.group_id].components)
+            for info in old_infos
+        }
+        self._install_plan(plan)
+
+        to_stop: list[str] = []
+        pushes: list[tuple[str, list[str]]] = []
+        for info in old_infos:
+            old_set = old_components_of[info.proclet_id]
+            # Prefer max overlap; break ties toward emptier groups so
+            # merged groups don't stack every old proclet.
+            best = max(
+                self._groups.values(),
+                key=lambda g: (len(old_set & set(g.components)), -len(g.proclets)),
+            )
+            if not old_set & set(best.components):
+                to_stop.append(info.proclet_id)
+                continue
+            info.group_id = best.group_id
+            best.proclets[info.proclet_id] = info
+            pushes.append((info.proclet_id, sorted(best.components)))
+
+        # Each group wants the replicas it adopted; one without any stays
+        # dormant until StartComponent.
+        for group in self._groups.values():
+            group.want = Intent(intent.owner, len(self.live_replicas(group)), intent.reason)
+            self._publish_routing(group)
+        self._journal(intent, "regroup", f"{len(self._groups)} groups", None, started)
+
+        # Effectful steps last: pushes and stops go through the deployer,
+        # which may call back into the manager.
+        for proclet_id, components in pushes:
+            await self.launcher.update_hosting(proclet_id, components)
+        for proclet_id in to_stop:
+            # Routing was rebuilt without these proclets above; retire
+            # gracefully so their in-flight requests complete.
+            self.health.remove(proclet_id)
+            await self._retire_replica(proclet_id, intent, None)

@@ -304,11 +304,6 @@ class RoutingResolver:
             self._breakers.record(reg.name, address, ok=False)
         self._table.invalidate(reg.name)
 
-    def report_failure(self, reg: Registration, address: str) -> None:
-        # Forget everything we know; next call re-resolves through the
-        # runtime, which will have (or will soon have) a fresher view.
-        self._table.invalidate(reg.name)
-
 
 class Proclet:
     """One process's worth of the application plus its managing daemon."""
@@ -345,9 +340,9 @@ class Proclet:
         # ``telemetry: off`` disables span creation and the client-side
         # latency histogram entirely (the control knob behind the E19
         # overhead gate); counters and heartbeats always flow.
-        self.telemetry = getattr(config, "telemetry", "full")
+        self.telemetry = config.telemetry
         self.tracer = (
-            Tracer(trace_rate=getattr(config, "trace_rate", None))
+            Tracer(trace_rate=config.trace_rate)
             if self.telemetry != "off"
             else None
         )

@@ -5,9 +5,9 @@ telemetry can *operate itself*.  PR 9 built the sensing half — per-second
 series, EWMA anomaly detectors, SLO burn rates, breaker and drain state in
 ``runtime.status`` — and this module closes the loop: a controller on the
 manager's telemetry tick maps that evidence to remediation actions and
-executes them through the machinery the manager already has
-(``_retire_replica``, ``_ensure_replicas``, ``apply_placement``, routing
-pushes).
+writes each fired one as an intent — a retirement, a replica floor that
+expires, or a grouping — which the manager's one reconcile step carries
+out, exactly as it does the health tracker's and the HPA's.
 
 Microservice failures cascade faster than human operators react (Gan &
 Delimitrou), so remediation must be automatic — but a bad signal must not
@@ -25,24 +25,22 @@ be able to rampage, so every action passes a guardrail layer first
   ``observe`` journals every decision without executing (the dry-run mode
   operators enable first).
 
-Every decision — fired, suppressed-by-guardrail, observed — lands in a
-bounded action journal exported via ``runtime.status`` and the ``repro
-actions`` CLI, so the controller's behaviour is as inspectable as the
-failures it handles.
+Every decision — fired, suppressed-by-guardrail, observed — lands in the
+manager's bounded action journal, beside the replica-set changes the
+reconcile step made for it, exported via ``runtime.status`` and the
+``repro actions`` CLI, so the controller's behaviour is as inspectable as
+the failures it handles.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager owns us)
-    from repro.runtime.manager import Manager
-
-log = logging.getLogger("repro.runtime.remediation")
+from repro.runtime.health import HealthState
+from repro.runtime.manager import REMEDIATION, Manager
 
 #: Action types the controller can take, in escalation order.
 RESTART = "restart_replica"
@@ -54,6 +52,9 @@ ISOLATE = "isolate_component"
 #: that corroborate "this component's replicas are failing".
 BREAKER_TRIP_WINDOW_S = 10.0
 BREAKER_TRIP_THRESHOLD = 3.0
+
+#: How long a remediation scale-up holds its replica floor against the HPA.
+FLOOR_HOLD_S = 120.0
 
 
 @dataclass
@@ -169,19 +170,16 @@ class RemediationController:
       isolate the component into its own process (re-placement).
     """
 
-    def __init__(self, manager: "Manager", config: Any) -> None:
+    def __init__(self, manager: Manager, config: Any) -> None:
         self.manager = manager
-        self.mode = getattr(config, "remediation", "off")
+        self.mode = config.remediation
         self.guardrails = Guardrails(
             cooldown_s=config.remediation_cooldown_s,
             max_actions_per_min=config.remediation_max_actions_per_min,
             blast_fraction=config.remediation_blast_fraction,
             clock=manager.clock,
         )
-        self.journal: deque[dict[str, Any]] = deque(
-            maxlen=config.remediation_journal_size
-        )
-        self.counts = {"fired": 0, "suppressed": 0, "observed": 0, "failed": 0}
+        self.counts = {"fired": 0, "suppressed": 0, "observed": 0}
         #: Escalation state per signal key: consecutive remediated firings.
         self._escalation: dict[str, int] = {}
         self._floor = config.autoscale.min_replicas
@@ -189,10 +187,11 @@ class RemediationController:
 
     # -- the tick ----------------------------------------------------------
 
-    async def tick(self, now: Optional[float] = None) -> list[dict[str, Any]]:
-        """Plan, guard, journal, and (mode permitting) execute one round.
+    def tick(self, now: Optional[float] = None) -> list[dict[str, Any]]:
+        """Plan, guard, journal, and (mode permitting) write intents.
 
-        Returns the journal entries appended this tick.
+        Returns the journal entries appended this tick.  The manager's
+        reconcile step carries out the fired ones.
         """
         if self.mode == "off":
             return []
@@ -206,6 +205,7 @@ class RemediationController:
                 continue
             entry = {
                 "ts": now,
+                "owner": REMEDIATION,
                 "action": action.action,
                 "target": action.target,
                 "group": action.group_id,
@@ -215,9 +215,10 @@ class RemediationController:
                 "outcome": None,
                 "duration_ms": None,
             }
+            group = self.manager.group_states()[action.group_id]
             verdict = self.guardrails.check(
                 action,
-                live_replicas=self._live_count(action.group_id),
+                live_replicas=len(self.manager.live_replicas(group)),
                 floor=self._floor,
                 ceiling=self._ceiling,
             )
@@ -234,18 +235,8 @@ class RemediationController:
             seen_groups.add(action.group_id)
             self.guardrails.commit(action)
             entry["verdict"] = "fired"
-            started = self.manager.clock()
-            try:
-                await self._execute(action)
-                entry["outcome"] = "ok"
-                self._record(entry, "fired")
-            except Exception as exc:
-                entry["outcome"] = f"failed: {type(exc).__name__}: {exc}"
-                self._record(entry, "failed")
-                log.exception("remediation %s on %s failed", action.action, action.target)
-            entry["duration_ms"] = round(
-                (self.manager.clock() - started) * 1000.0, 3
-            )
+            self._write_intent(action, group)
+            self._record(entry, "fired")
             appended.append(entry)
         return appended
 
@@ -260,15 +251,13 @@ class RemediationController:
         return actions
 
     def _plan_suspects(self) -> list[PlannedAction]:
-        from repro.runtime.health import HealthState
-
         manager = self.manager
         out: list[PlannedAction] = []
         for group in manager.group_states().values():
+            live = len(manager.live_replicas(group))
             for info in list(group.proclets.values()):
                 if manager.health.state(info.proclet_id) is not HealthState.SUSPECT:
                     continue
-                live = self._live_count(group.group_id)
                 # The group survives at target strength without the
                 # suspect: pure ejection.  Otherwise restart (eject +
                 # replace) to hold replica count.
@@ -285,12 +274,9 @@ class RemediationController:
         return out
 
     def _plan_signals(self) -> list[PlannedAction]:
-        board = getattr(self.manager, "signals", None)
-        if board is None:
-            return []
         out: list[PlannedAction] = []
         firing_keys: set[str] = set()
-        for signal in board.firing():
+        for signal in self.manager.signals.firing():
             firing_keys.add(signal.key)
             latencyish = signal.name in ("p99_ms", "client_p99_ms", "latency")
             errorish = signal.name in ("error_rate", "availability")
@@ -318,9 +304,7 @@ class RemediationController:
         return [a for a in out if a is not None]
 
     def _plan_breaker_storms(self) -> list[PlannedAction]:
-        store = getattr(self.manager, "timeseries", None)
-        if store is None:
-            return []
+        store = self.manager.timeseries
         out: list[PlannedAction] = []
         for name, scope in store.names():
             if name != "breaker_trips" or scope == "_total":
@@ -377,15 +361,8 @@ class RemediationController:
         the most accumulated state to go wrong, and the pick rotates as
         restarts mint fresh replicas.
         """
-        from repro.runtime.health import HealthState
-
         manager = self.manager
-        live = [
-            info
-            for info in group.proclets.values()
-            if manager.health.state(info.proclet_id)
-            in (HealthState.HEALTHY, HealthState.SUSPECT, HealthState.STARTING)
-        ]
+        live = manager.live_replicas(group)
         if not live:
             return None
         suspects = [
@@ -396,45 +373,54 @@ class RemediationController:
         pool = suspects or live
         return min(pool, key=lambda i: i.registered_at).proclet_id
 
-    # -- execution ---------------------------------------------------------
+    # -- intents -----------------------------------------------------------
 
-    async def _execute(self, action: PlannedAction) -> None:
+    def _write_intent(self, action: PlannedAction, group: Any) -> None:
+        """Hand a fired action to the reconcile step as an intent.
+
+        Restart and eject are both a retirement: the group refills to its
+        desired count, which the planner compared against to pick one.
+        """
         manager = self.manager
-        if action.action == RESTART:
-            await manager.remediate_restart(action.target)
-        elif action.action == EJECT:
-            await manager.remediate_eject(action.target)
+        reason = f"{action.action}: {action.reason}"
+        if action.action in (RESTART, EJECT):
+            manager.retire(action.target, owner=REMEDIATION, reason=reason)
         elif action.action == SCALE_UP:
-            await manager.remediate_scale_up(action.group_id, ceiling=self._ceiling)
+            live = len(manager.live_replicas(group))
+            desired = min(self._ceiling, max(group.target_replicas, live) + 1)
+            if desired > live:
+                manager.hold_floor(
+                    group.group_id,
+                    desired,
+                    until=manager.clock() + FLOOR_HOLD_S,
+                    reason=reason,
+                )
         elif action.action == ISOLATE:
-            await manager.remediate_isolate(action.scope)
-        else:  # pragma: no cover - mapper only emits the four above
-            raise ValueError(f"unknown remediation action {action.action!r}")
-        # Only successful executions climb the escalation ladder.
+            # Evict the component from its co-location group so it stops
+            # taxing its neighbours (live re-placement, §5.1).
+            groups: list[tuple[str, ...]] = []
+            for g in manager.group_states().values():
+                if g.group_id == group.group_id:
+                    rest = tuple(c for c in g.components if c != action.scope)
+                    groups.append((action.scope,))
+                    if rest:
+                        groups.append(rest)
+                else:
+                    groups.append(g.components)
+            manager.apply_placement(groups, owner=REMEDIATION)
         if action.reason.count(":") >= 2:  # signal keys look like kind:name:scope
             self._escalation[action.reason] = self._escalation.get(action.reason, 0) + 1
 
     # -- bookkeeping -------------------------------------------------------
 
     def _record(self, entry: dict[str, Any], bucket: str) -> None:
-        self.journal.append(entry)
+        manager = self.manager
+        manager.journal.append(entry)
         self.counts[bucket] += 1
-        metrics = getattr(self.manager, "_own_metrics", None)
-        if metrics is not None:
-            metrics.counter("remediation_actions").inc(
-                action=entry["action"], verdict=bucket
-            )
-            self.manager._merged_metrics = None
-
-    def _live_count(self, group_id: int) -> int:
-        group = self.manager.group_states().get(group_id)
-        if group is None:
-            return 0
-        return sum(
-            1
-            for info in group.proclets.values()
-            if self.manager._is_live(info.proclet_id)
+        manager._own_metrics.counter("remediation_actions").inc(
+            action=entry["action"], verdict=bucket
         )
+        manager._merged_metrics = None
 
     def _group_of(self, scope: str):
         manager = self.manager
@@ -445,9 +431,7 @@ class RemediationController:
         """Deployment-wide signals act on the worst concrete component."""
         if scope != "_total":
             return scope
-        store = getattr(self.manager, "timeseries", None)
-        if store is None:
-            return scope
+        store = self.manager.timeseries
         series_name = (
             "error_rate" if signal_name in ("error_rate", "availability") else "p99_ms"
         )
@@ -475,5 +459,5 @@ class RemediationController:
                 "cooldown_s": self.guardrails.cooldown_s,
                 "blast_fraction": self.guardrails.blast_fraction,
             },
-            "journal": [dict(e) for e in self.journal],
+            "journal": [dict(e) for e in self.manager.journal],
         }

@@ -52,9 +52,7 @@ def render_header(manager: Manager) -> str:
 
 def render_signals(manager: Manager) -> str:
     """Anomaly / SLO burn-rate verdicts from the live signal board."""
-    board = getattr(manager, "signals", None)
-    if board is None:
-        return ""
+    board = manager.signals
     signals = board.signals()
     if not signals:
         return ""
@@ -73,9 +71,7 @@ def render_signals(manager: Manager) -> str:
 
 def render_timeseries(manager: Manager) -> str:
     """Deployment-wide trend sparklines from the per-second ring buffers."""
-    store = getattr(manager, "timeseries", None)
-    if store is None:
-        return ""
+    store = manager.timeseries
     from repro.observability.timeseries import sparkline
 
     lines = []
@@ -177,7 +173,7 @@ def render_state(manager: Manager) -> str:
     if not writes and not handover_shards and not replayed:
         return ""
     lines = ["durable state (shards / handover):"]
-    assignments = getattr(manager, "_assignments", {})
+    assignments = manager._assignments
     for comp in sorted(set(writes) | set(wrong_owner)):
         assignment = assignments.get(comp)
         gen = assignment.generation if assignment else 0
@@ -255,15 +251,16 @@ def render_breakers(manager: Manager) -> str:
 def render_remediation(manager: Manager, *, max_entries: int = 8) -> str:
     """Closed-loop controller view: mode, budget, and the action journal.
 
-    Every decision the controller made is in the journal — including the
-    ones guardrails suppressed — so an operator can audit exactly why a
-    replica restarted (or why it pointedly did not).
+    Every replica-set change is in the journal with the intent owner that
+    caused it — health, autoscaler, remediation, placement, start — and so
+    is every remediation decision, including the ones guardrails
+    suppressed, so an operator can audit exactly why a replica restarted
+    (or why it pointedly did not).  Start-up launches alone are not news:
+    with remediation off the section stays hidden until something else
+    changed a replica set.
     """
-    controller = getattr(manager, "remediation", None)
-    if controller is None:
-        return ""
-    wire = controller.to_wire()
-    if wire["mode"] == "off" and not wire["journal"]:
+    wire = manager.remediation.to_wire()
+    if wire["mode"] == "off" and all(e["owner"] == "start" for e in wire["journal"]):
         return ""
     budget = wire["budget"]
     counts = wire["counts"]
@@ -276,7 +273,7 @@ def render_remediation(manager: Manager, *, max_entries: int = 8) -> str:
     ]
     for entry in wire["journal"][-max_entries:]:
         lines.append(
-            f"  [{entry['verdict']:<20s}] {entry['action']:<16s} "
+            f"  [{entry['verdict']:<20s}] {entry['owner']:<11s} {entry['action']:<16s} "
             f"{_short(entry['target']):<22s} {entry['reason']}"
         )
     return "\n".join(lines)
@@ -456,15 +453,9 @@ def status_wire(manager: Manager) -> dict[str, Any]:
         "exemplars": latency_exemplars(manager),
         "traces": trace_index,
     }
-    board = getattr(manager, "signals", None)
-    if board is not None:
-        out["signals"] = board.to_wire()
-    store = getattr(manager, "timeseries", None)
-    if store is not None:
-        out["series"] = store.to_wire()
-    controller = getattr(manager, "remediation", None)
-    if controller is not None:
-        out["remediation"] = controller.to_wire()
+    out["signals"] = manager.signals.to_wire()
+    out["series"] = manager.timeseries.to_wire()
+    out["remediation"] = manager.remediation.to_wire()
     stats = getattr(manager.tracer, "stats", None)
     if stats is not None:
         out["trace_stats"] = stats()

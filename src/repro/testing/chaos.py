@@ -237,7 +237,7 @@ class ChaosMonkey:
                     report.kills.append(victim)
                     report.kill_times.append(time.monotonic())
                     if not silent_kills:
-                        await self.app.manager.sweep()
+                        await self.app.manager.reconcile()
                         await asyncio.sleep(settle_s)
             report.requests_attempted += 1
             try:

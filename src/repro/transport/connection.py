@@ -17,8 +17,7 @@ task gathers everything pending into one ``writelines`` + one ``drain``.
 When the connection is idle a lone frame flushes immediately; under load,
 frames that arrive while a previous ``drain`` is in flight ride out
 together in the next batch — batching scales with pressure instead of a
-timer.  A batch is bounded by ``max_batch_bytes``; an optional bounded
-hold (``coalesce_hold_s``) can trade a hair of latency for wider batches.
+timer.  A batch is bounded by ``MAX_BATCH_BYTES``.
 Senders that get more than ``SEND_HIGH_WATER`` bytes ahead of the socket
 wait for the flusher (backpressure), so a slow peer cannot balloon the
 outbox.
@@ -173,8 +172,6 @@ class Connection:
         name: str = "conn",
         compress: bool = False,
         coalesce: bool = True,
-        coalesce_hold_s: float = 0.0,
-        max_batch_bytes: int = MAX_BATCH_BYTES,
         stream_threshold: int = STREAM_THRESHOLD,
         stream_chunk: int = STREAM_CHUNK_BYTES,
         stream_window: int = STREAM_WINDOW,
@@ -185,8 +182,6 @@ class Connection:
         self._name = name
         self._compress = compress
         self._coalesce = coalesce
-        self._hold_s = coalesce_hold_s
-        self._max_batch = max_batch_bytes
         self._req_ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         self._closed = False
@@ -388,15 +383,12 @@ class Connection:
                 if not self._outbox and not self._outbox_bulk:
                     self._wakeup.clear()
                     await self._wakeup.wait()
-                if self._hold_s > 0.0:
-                    # Bounded hold: gather a wider batch at a latency cost.
-                    await asyncio.sleep(self._hold_s)
                 batch = []
                 size = 0
                 outbox = self._outbox
                 bulk_lane = self._outbox_bulk
                 # Normal lane first; stream chunks only top up the batch.
-                while outbox and size < self._max_batch:
+                while outbox and size < MAX_BATCH_BYTES:
                     chunk = outbox.popleft()
                     batch.append(chunk)
                     size += len(chunk)
@@ -407,7 +399,7 @@ class Connection:
                 bulk_size = 0
                 while (
                     bulk_lane
-                    and size < self._max_batch
+                    and size < MAX_BATCH_BYTES
                     and bulk_size <= self._stream_chunk
                 ):
                     chunk = bulk_lane.popleft()

@@ -78,7 +78,7 @@ class TestSubprocessDeployment:
                 or True  # any victim works; pick the first
             )
             app.kill_replica(victim)
-            await app.manager.sweep()
+            await app.manager.reconcile()
             await asyncio.sleep(0.3)
 
             # The group was relaunched as a fresh child; the app serves.

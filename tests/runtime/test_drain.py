@@ -96,7 +96,8 @@ class TestPlannedShutdown:
         group = next(iter(app.manager.group_states().values()))
         assert len(group.proclets) == 3
         # ...then shrink to one replica mid-flight (autoscale's move).
-        await app.manager._shrink_group(group, 1)
+        app.manager.want_replicas(group.group_id, 1, owner="autoscaler")
+        await app.manager.reconcile()
 
         results = await asyncio.gather(*calls, return_exceptions=True)
         failures = [r for r in results if isinstance(r, BaseException)]
@@ -109,7 +110,8 @@ class TestPlannedShutdown:
     async def test_shrink_with_drain_disabled_still_converges(self):
         app = await deployed(replicas={Sleeper: 2}, drain_deadline_s=0.0)
         group = next(iter(app.manager.group_states().values()))
-        await app.manager._shrink_group(group, 1)
+        app.manager.want_replicas(group.group_id, 1, owner="autoscaler")
+        await app.manager.reconcile()
         assert len([e for e in app.envelopes.values() if not e.stopped]) == 1
         assert await app.get(Sleeper).nap(0.0) == "rested"
         await app.shutdown()
@@ -131,32 +133,27 @@ class RecordingLauncher:
     async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
         pass
 
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
 
-class HardStopLauncher(RecordingLauncher):
-    """A deployer predating drain: only the required launcher surface."""
-
-    drain_replica = None  # type: ignore[assignment]
+    async def push_state(self, proclet_id: str, shards: list) -> int:
+        return 0
 
 
 class TestManagerRetire:
-    def _manager(self, demo_build, launcher, **config_kwargs):
+    async def _retire_p1(self, demo_build, launcher, **config_kwargs):
         config = AppConfig(**config_kwargs)
-        return Manager(demo_build, config.resolve(demo_build.names()), launcher)
+        manager = Manager(demo_build, config.resolve(demo_build.names()), launcher)
+        await manager.register_replica("p1", "tcp://127.0.0.1:9001", 0)
+        manager.retire("p1", owner="remediation")
+        await manager.reconcile()
 
     async def test_retire_drains_then_stops(self, demo_build):
         launcher = RecordingLauncher()
-        manager = self._manager(demo_build, launcher, drain_deadline_s=2.0)
-        await manager._retire_replica("p1")
+        await self._retire_p1(demo_build, launcher, drain_deadline_s=2.0)
         assert launcher.events == [("drain", "p1"), ("stop", "p1")]
 
     async def test_retire_hard_stops_when_drain_disabled(self, demo_build):
         launcher = RecordingLauncher()
-        manager = self._manager(demo_build, launcher, drain_deadline_s=0.0)
-        await manager._retire_replica("p1")
-        assert launcher.events == [("stop", "p1")]
-
-    async def test_retire_tolerates_legacy_launcher(self, demo_build):
-        launcher = HardStopLauncher()
-        manager = self._manager(demo_build, launcher, drain_deadline_s=2.0)
-        await manager._retire_replica("p1")
+        await self._retire_p1(demo_build, launcher, drain_deadline_s=0.0)
         assert launcher.events == [("stop", "p1")]

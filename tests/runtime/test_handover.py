@@ -75,7 +75,8 @@ class TestDrainHandover:
 
         group = next(iter(app.manager.group_states().values()))
         assert len(group.proclets) == 2
-        await app.manager._shrink_group(group, 1)
+        app.manager.want_replicas(group.group_id, 1, owner="autoscaler")
+        await app.manager.reconcile()
         assert len(group.proclets) == 1
 
         # Every acknowledged increment survives on the survivor.
@@ -116,7 +117,7 @@ class TestCrashRecovery:
             "tests.runtime.test_handover.Ledger"
         ):
             assert asyncio.get_running_loop().time() < deadline
-            await app.manager.sweep()
+            await app.manager.control_tick()
             await asyncio.sleep(0.05)
 
         for key in KEYS[:10]:
@@ -143,8 +144,8 @@ class TestStaleAssignmentRedirect:
         # to the group's proclets (ownership checks update), but the
         # driver is no proclet of the group — its cache stays stale.
         group = next(iter(app.manager.group_states().values()))
-        group.target_replicas = 2
-        await app.manager._ensure_replicas(group, minimum=2)
+        app.manager.want_replicas(group.group_id, 2, owner="autoscaler")
+        await app.manager.reconcile()
         await asyncio.sleep(0.2)  # let routing pushes land
 
         fresh = app.manager._assignments[component]

@@ -44,6 +44,15 @@ class FakeLauncher:
         self.hosting_updates = getattr(self, "hosting_updates", [])
         self.hosting_updates.append((proclet_id, components))
 
+    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
+        pass
+
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
+
+    async def push_state(self, proclet_id: str, shards: list) -> int:
+        return 0
+
 
 @pytest.fixture
 def manager(demo_build):
@@ -135,8 +144,7 @@ class TestHealthAndRepair:
 
         # Silence the heartbeat long enough to be declared dead.
         manager.health.mark_dead(info.proclet_id)
-        await manager.sweep()
-        await asyncio.sleep(0.01)  # let the relaunch registration land
+        await manager.reconcile()
         addresses = manager.replica_addresses(name)
         assert addresses
         assert all(a != info.address for a in addresses)
@@ -158,8 +166,8 @@ class TestAutoscaling:
         gid = group_id_of(manager, Adder)
         await manager.register_replica("p1", "tcp://1:1", gid)
         await manager.heartbeat("p1", load=1.0)  # target 0.5 -> wants 2
-        await manager.autoscale_tick()
-        await asyncio.sleep(0.01)
+        manager.autoscale()
+        await manager.reconcile()
         name = manager.build.by_iface(Adder).name
         assert len(manager.replica_addresses(name)) == 2
 
@@ -169,9 +177,29 @@ class TestAutoscaling:
         await manager.register_replica("p2", "tcp://1:2", gid)
         await manager.heartbeat("p1", load=0.01)
         await manager.heartbeat("p2", load=0.01)
-        await manager.autoscale_tick()
+        manager.autoscale()
+        await manager.reconcile()
         stopped = manager.launcher.stopped
         assert len(stopped) == 1
+
+    async def test_decisions_are_journaled_with_their_owner(self, manager):
+        name = manager.build.by_iface(Adder).name
+        await manager.start_component(name)
+        (info,) = manager.proclets()
+        manager.health.mark_dead(info.proclet_id)
+        await manager.reconcile()
+        for p in manager.proclets():
+            await manager.heartbeat(p.proclet_id, load=1.0)  # target 0.5 -> wants 2
+        manager.autoscale()
+        await manager.reconcile()
+        changes = [(e["owner"], e["action"]) for e in manager.journal]
+        assert changes == [
+            ("start", "launch"),
+            ("health", "drop"),
+            ("health", "launch"),
+            ("autoscaler", "launch"),
+        ]
+        assert manager.journal[-1]["reason"].startswith("scale up")
 
     async def test_no_scaling_when_disabled(self, demo_build):
         launcher = FakeLauncher()
@@ -185,7 +213,8 @@ class TestAutoscaling:
         gid = m._component_group[demo_build.by_iface(Adder).name]
         await m.register_replica("p1", "tcp://1:1", gid)
         await m.heartbeat("p1", load=5.0)
-        await m.autoscale_tick()
+        m.autoscale()
+        await m.reconcile()
         assert launcher.started == []
 
 

@@ -133,7 +133,7 @@ class TestFailureRecovery:
             if name in env.proclet.hosted
         )
         app.kill_replica(victim)
-        await app.manager.sweep()
+        await app.manager.reconcile()
         await asyncio.sleep(0.05)
 
         # The manager restarted the group; calls work again.

@@ -49,6 +49,15 @@ class FakeLauncher:
     async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
         pass
 
+    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
+        pass
+
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
+
+    async def push_state(self, proclet_id: str, shards: list) -> int:
+        return 0
+
 
 class StubBoard:
     """A signal board that fires exactly what the test says."""
@@ -93,6 +102,13 @@ def adder_name(manager):
 async def start_all(manager):
     for group in manager.group_states().values():
         await manager.start_component(group.components[0])
+
+
+async def remediation_pass(manager):
+    """Guarded decisions, then the reconcile step that carries them out."""
+    entries = manager.remediation.tick()
+    await manager.reconcile()
+    return entries
 
 
 def make_suspect(manager, proclet_id):
@@ -191,7 +207,7 @@ class TestModes:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        assert await manager.remediation_tick() == []
+        assert await remediation_pass(manager) == []
         assert launcher.stopped == []
 
     async def test_observe_mode_journals_without_acting(self, demo_build):
@@ -200,7 +216,7 @@ class TestModes:
         started_before = len(launcher.started)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        entries = await manager.remediation_tick()
+        entries = await remediation_pass(manager)
         assert entries and all(e["verdict"] == "observed" for e in entries)
         assert launcher.stopped == []  # decided, not executed
         assert len(launcher.started) == started_before
@@ -211,10 +227,14 @@ class TestModes:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        entries = await manager.remediation_tick()
+        entries = await remediation_pass(manager)
         fired = [e for e in entries if e["verdict"] == "fired"]
-        assert fired and fired[0]["outcome"] == "ok"
+        assert fired and fired[0]["target"] == victim
         assert victim in launcher.stopped
+        # The reconcile step carried the decision out and journaled it.
+        (retired,) = [e for e in manager.journal if e["action"] == "retire"]
+        assert retired["owner"] == "remediation" and retired["target"] == victim
+        assert retired["outcome"] == "ok"
 
 
 class TestSuspectMapping:
@@ -232,15 +252,17 @@ class TestSuspectMapping:
         await start_all(manager)
         group = next(iter(manager.group_states().values()))
         # A second replica beyond target strength.
-        await manager._ensure_replicas(group, minimum=2)
-        group.target_replicas = 1
+        await manager.register_replica("extra", "tcp://127.0.0.1:9999", group.group_id)
+        assert group.target_replicas == 1 and len(group.proclets) == 2
         victim = next(iter(group.proclets))
         make_suspect(manager, victim)
         plans = [p for p in manager.remediation.plan() if p.target == victim]
         assert plans and plans[0].action == EJECT
-        await manager.remediation_tick()
+        launches = len(launcher.started)
+        await remediation_pass(manager)
         assert victim not in group.proclets
         assert victim in launcher.stopped
+        assert len(launcher.started) == launches  # ejected, not replaced
 
     async def test_restart_replaces_the_replica(self, demo_build):
         manager, launcher = make_manager(demo_build)
@@ -248,7 +270,7 @@ class TestSuspectMapping:
         group = next(iter(manager.group_states().values()))
         victim = next(iter(group.proclets))
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await remediation_pass(manager)
         # The victim is gone and a replacement was launched + registered.
         assert victim not in group.proclets
         assert len(group.proclets) >= group.target_replicas
@@ -262,7 +284,7 @@ class TestSignalMapping:
         manager.signals = board
         comp = adder_name(manager)
         board.fire("anomaly", "p99_ms", comp)
-        entries = await manager.remediation_tick()
+        entries = await remediation_pass(manager)
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["action"] == SCALE_UP
         group = manager._group_for_component(comp)
@@ -276,7 +298,7 @@ class TestSignalMapping:
         comp = adder_name(manager)
         victims = set(manager._group_for_component(comp).proclets)
         board.fire("anomaly", "error_rate", comp)
-        entries = await manager.remediation_tick()
+        entries = await remediation_pass(manager)
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["action"] == RESTART
         assert fired[0]["target"] in victims
@@ -290,7 +312,7 @@ class TestSignalMapping:
         board.fire("anomaly", "p99_ms", comp)
         actions = []
         for _ in range(4):
-            for e in await manager.remediation_tick():
+            for e in await remediation_pass(manager):
                 if e["verdict"] == "fired":
                     actions.append(e["action"])
         # scale_up, scale_up, then isolate — which downgrades to another
@@ -305,10 +327,10 @@ class TestSignalMapping:
         manager.signals = board
         comp = adder_name(manager)
         s = board.fire("anomaly", "p99_ms", comp)
-        await manager.remediation_tick()
+        await remediation_pass(manager)
         assert manager.remediation._escalation.get(s.key) == 1
         board.clear()
-        await manager.remediation_tick()  # signal resolved
+        await remediation_pass(manager)  # signal resolved
         assert s.key not in manager.remediation._escalation
 
     async def test_total_scope_resolves_to_worst_component(self, demo_build):
@@ -322,7 +344,7 @@ class TestSignalMapping:
         manager.timeseries.record("p99_ms", comp_a, now, 900.0)
         manager.timeseries.record("p99_ms", comp_g, now, 30.0)
         board.fire("slo", "latency", "_total")
-        entries = await manager.remediation_tick()
+        entries = await remediation_pass(manager)
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["scope"] == comp_a
 
@@ -346,47 +368,81 @@ class TestBreakerStorms:
         assert manager.remediation.plan() == []
 
 
+async def fire_until(manager, board, scope, action, ticks=6):
+    """Keep a p99 anomaly firing on ``scope`` until ``action`` fires."""
+    board.fire("anomaly", "p99_ms", scope)
+    for _ in range(ticks):
+        for e in await remediation_pass(manager):
+            if e["verdict"] == "fired" and e["action"] == action:
+                return e
+    return None
+
+
 class TestExecutors:
+    """Remediation's intents, as the reconcile step carries them out."""
+
     async def test_scale_up_clamps_to_ceiling(self, demo_build):
-        manager, launcher = make_manager(demo_build)
+        manager, launcher = make_manager(
+            demo_build,
+            autoscale=AutoscaleConfig(max_replicas=3, scale_down_stabilization_s=0.0),
+        )
         await start_all(manager)
         group = next(iter(manager.group_states().values()))
-        for _ in range(6):
-            await manager.remediate_scale_up(group.group_id, ceiling=3)
+        manager.hold_floor(group.group_id, 6, until=manager.clock() + 60.0)
+        await manager.reconcile()
         assert group.target_replicas == 3
+        assert len(manager.live_replicas(group)) == 3
 
     async def test_scale_up_raises_autoscaler_floor(self, demo_build):
         manager, _ = make_manager(demo_build)
         await start_all(manager)
-        group = next(iter(manager.group_states().values()))
-        await manager.remediate_scale_up(group.group_id, ceiling=4)
-        scaler = manager._autoscalers[group.group_id]
-        floor, expires = scaler._floor
-        assert floor == 2 and expires > manager.clock()
-        # An idle-load decision cannot undo the remediation capacity.
-        decision = scaler.decide(
-            now=manager.clock(), current_replicas=2, utilization=0.01
-        )
-        assert decision.desired >= 2
+        board = StubBoard()
+        manager.signals = board
+        comp = adder_name(manager)
+        group = manager._group_for_component(comp)
+        assert await fire_until(manager, board, comp, SCALE_UP)
+        assert group.floor.replicas == 2 and group.floor.until > manager.clock()
+        # An idle-load HPA target cannot undo the remediation capacity.
+        manager.want_replicas(group.group_id, 1, owner="autoscaler")
+        await manager.reconcile()
+        assert group.target_replicas == 2
+        assert len(manager.live_replicas(group)) == 2
+        # Once the hold expires the HPA has full authority again.
+        group.floor.until = manager.clock()
+        await manager.reconcile()
+        assert len(manager.live_replicas(group)) == 1
 
     async def test_isolate_splits_a_colocated_group(self, demo_build):
-        manager, _ = make_manager(demo_build)
+        manager, _ = make_manager(
+            demo_build,
+            autoscale=AutoscaleConfig(max_replicas=8, scale_down_stabilization_s=0.0),
+        )
         # Build a co-located group via apply_placement, then isolate.
         names = sorted(manager._component_group)
         await start_all(manager)
-        await manager.apply_placement([tuple(names)])
+        manager.apply_placement([tuple(names)])
+        await manager.reconcile()
         assert len(manager.group_states()) == 1
-        await manager.remediate_isolate(names[0])
+        board = StubBoard()
+        manager.signals = board
+        # scale_up, scale_up, then isolate: the ladder's last step.
+        entry = await fire_until(manager, board, names[0], ISOLATE)
+        assert entry is not None
         groups = manager.group_states()
         assert len(groups) == 2
         solo = [g for g in groups.values() if g.components == (names[0],)]
         assert solo
+        (regroup,) = [e for e in manager.journal if e["owner"] == "remediation"
+                      and e["action"] == "regroup"]
+        assert regroup["verdict"] == "applied"
 
     async def test_isolate_alone_is_a_noop(self, demo_build):
         manager, _ = make_manager(demo_build)
         await start_all(manager)
+        board = StubBoard()
+        manager.signals = board
         before = {g.group_id: g.components for g in manager.group_states().values()}
-        await manager.remediate_isolate(adder_name(manager))
+        assert await fire_until(manager, board, adder_name(manager), ISOLATE) is None
         after = {g.group_id: g.components for g in manager.group_states().values()}
         assert before == after
 
@@ -414,7 +470,7 @@ class TestJournalAndWire:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await remediation_pass(manager)
         wire = manager.remediation.to_wire()
         json.dumps(wire)  # must be wire-safe
         assert wire["mode"] == "on"
@@ -430,7 +486,7 @@ class TestJournalAndWire:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await remediation_pass(manager)
         fired = [
             cell.value
             for (name, labels), cell in manager.metrics.cells().items()
@@ -453,7 +509,7 @@ class TestJournalAndWire:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await remediation_pass(manager)
         text = render_remediation(manager)
         assert "remediation (mode=on)" in text
         assert "fired" in text

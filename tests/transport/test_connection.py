@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.errors import (
     DeadlineExceeded,
+    ErrorCode,
     RemoteApplicationError,
     RPCError,
     Unavailable,
@@ -23,7 +24,7 @@ async def echo_handler(
     if method_index == 99:
         raise ValueError("application blew up")
     if method_index == 98:
-        raise RPCError("rpc-level failure", retryable=False)
+        raise RPCError("rpc-level failure", code=ErrorCode.INTERNAL)
     if method_index == 97:
         await asyncio.sleep(0.5)
         return b"slow"
